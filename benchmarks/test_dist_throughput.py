@@ -9,9 +9,10 @@ Algorithms 1-2 (all-gather F/W, X/Y all-reduces, dW/dF reduce-scatters,
 epoch barrier) for a 3-layer GCN with small stand-in shards: the tensor
 math is deliberately tiny so the measurement isolates the simulator itself.
 
-Results land in ``BENCH_dist.json`` at the repo root.  Run standalone with
-``python benchmarks/test_dist_throughput.py [--quick]`` (CI uses
-``--quick``).
+Run standalone with ``python benchmarks/test_dist_throughput.py
+[--quick]`` (CI uses ``--quick``), results land in ``BENCH_dist.json`` at
+the repo root; under pytest the report goes to the test's ``tmp_path`` so
+the suite leaves the tree clean.
 """
 
 from __future__ import annotations
@@ -100,11 +101,14 @@ def write_report(report: dict, path: Path = _BENCH_PATH) -> None:
     path.write_text(json.dumps(report, indent=2) + "\n")
 
 
-def test_dist_throughput():
+def test_dist_throughput(tmp_path):
+    # under pytest the report goes to a scratch dir: a test run must not
+    # rewrite the tracked BENCH_dist.json (run the file as a script for that)
     report = measure_throughput()
-    write_report(report)
+    out = tmp_path / _BENCH_PATH.name
+    write_report(report, out)
     print(f"\nsimulator throughput: {report['epochs_per_sec']:.0f} simulated epochs/sec "
-          f"({report['config']}, {report['world_size']} ranks) -> {_BENCH_PATH.name}")
+          f"({report['config']}, {report['world_size']} ranks) -> {out}")
     assert report["epochs_per_sec"] >= MIN_EPOCHS_PER_SEC, (
         f"simulator throughput {report['epochs_per_sec']:.1f} epochs/sec below the "
         f"{MIN_EPOCHS_PER_SEC:.0f} floor"

@@ -32,10 +32,10 @@ batched engine (no configuration may fall back to — or fail to beat — the
 per-rank loop); the multiproc run is the acceptance gate for the
 process-sharded runtime.
 
-Results land in ``BENCH_train.json`` at the repo root (one entry per run
-under ``"runs"``).  Run standalone with
-``python benchmarks/test_train_throughput.py [--quick]`` (CI uses
-``--quick``).
+Run standalone with ``python benchmarks/test_train_throughput.py
+[--quick]`` (CI uses ``--quick``), results land in ``BENCH_train.json`` at
+the repo root (one entry per run under ``"runs"``); under pytest the
+report goes to the test's ``tmp_path`` so the suite leaves the tree clean.
 """
 
 from __future__ import annotations
@@ -395,12 +395,15 @@ def measure_until_floors(
     return report
 
 
-def test_train_throughput():
+def test_train_throughput(tmp_path):
+    # under pytest the report goes to a scratch dir: a test run must not
+    # rewrite the tracked BENCH_train.json (run the file as a script for that)
     report = measure_until_floors()
-    write_report(report)
+    out = tmp_path / _BENCH_PATH.name
+    write_report(report, out)
     for name, run in report["runs"].items():
         print(f"\ntrainer throughput [{name}]: {run['epochs_per_sec']:.0f} epochs/sec "
-              f"(floor {run['floor_epochs_per_sec']:.0f}) -> {_BENCH_PATH.name}")
+              f"(floor {run['floor_epochs_per_sec']:.0f}) -> {out}")
     failed = _check_floors(report)
     assert not failed, (
         f"runs below their throughput floor: {failed} "

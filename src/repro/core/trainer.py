@@ -108,6 +108,21 @@ def distributed_masked_ce(
     return loss, d_logits
 
 
+def _ce_plan(model: PlexusGCN, shape: tuple) -> tuple:
+    """Label-side constants of :func:`_masked_ce_batched`, computed once per
+    model (labels and masks never change): the flat indices of owned rows
+    and of their label logits in ``(world, rows, classes)`` logits, and the
+    per-rank mask counts."""
+    plan = model.__dict__.get("_ce_plan")
+    if plan is None or plan[0] != shape:
+        labels, masks = model.label_stack, model.mask_stack
+        local_idx = labels - model.class_start[:, None]
+        owned = masks & (local_idx >= 0) & (local_idx < shape[2])
+        rows = np.flatnonzero(owned)
+        plan = model._ce_plan = (shape, rows, rows * shape[2] + local_idx[owned], masks.sum(axis=1))
+    return plan[1:]
+
+
 def _masked_ce_batched(model: PlexusGCN, logits: np.ndarray) -> tuple[float, np.ndarray]:
     """Rank-vectorized masked cross-entropy over stacked logits.
 
@@ -121,29 +136,34 @@ def _masked_ce_batched(model: PlexusGCN, logits: np.ndarray) -> tuple[float, np.
     roles = model.shardings[-1].roles
     comm_x = grid.comm(roles.x)
     comm_z = grid.comm(roles.z)
-    labels, masks = model.label_stack, model.mask_stack
-    c = logits.shape[2]
+    masks = model.mask_stack
+    world, rows, c = logits.shape
     if c == 0:
         raise ValueError("batched loss requires at least one class column per rank")
+    owned_rows, label_idx, counts = _ce_plan(model, logits.shape)
 
-    # 1) log-softmax statistics along the class (x-role) axis
-    row_max = comm_x.all_reduce(logits.max(axis=2), op="max", phase="loss_max").wait()
-    sum_exp = comm_x.all_reduce(
-        np.exp(logits - row_max[:, :, None]).sum(axis=2), phase="loss_sumexp"
-    ).wait()
+    # 1) log-softmax statistics along the class (x-role) axis.  The math runs
+    # class-major, (c, world, rows): elementwise ops and the max then stream
+    # whole planes instead of looping over a narrow trailing axis.  numpy
+    # adds fewer than 8 terms in order but pairwise from 8 up, so wider
+    # shards sum along the trailing axis to keep that association
+    by_class = np.ascontiguousarray(logits.transpose(2, 0, 1))
+    row_max = comm_x.all_reduce(by_class.max(axis=0), op="max", phase="loss_max").wait()
+    e = np.exp(by_class - row_max)
+    e = e.sum(axis=0) if c < 8 else np.ascontiguousarray(e.transpose(1, 2, 0)).sum(axis=2)
+    sum_exp = comm_x.all_reduce(e, phase="loss_sumexp").wait()
 
     # 2) gather each masked node's own-label logit from the owning class shard
-    local_idx = labels - model.class_start[:, None]
-    owned = masks & (local_idx >= 0) & (local_idx < c)
-    gather_idx = np.clip(local_idx, 0, c - 1)[:, :, None]
-    z_local = np.where(owned, np.take_along_axis(logits, gather_idx, axis=2)[:, :, 0], 0.0)
+    z_local = np.zeros((world, rows), dtype=logits.dtype)
+    z_local.reshape(-1)[owned_rows] = logits.reshape(-1)[label_idx]
     z_label = comm_x.all_reduce(z_local, phase="loss_zlabel").wait()
 
     # 3) masked sum + count along the row (z-role) axis
-    nll = row_max + np.log(sum_exp) - z_label
-    packed = np.empty((grid.world_size, 2), dtype=np.float64)
+    log_s = np.log(sum_exp)
+    nll = row_max + log_s - z_label
+    packed = np.empty((world, 2), dtype=np.float64)
     packed[:, 0] = np.where(masks, nll, 0.0).sum(axis=1)
-    packed[:, 1] = masks.sum(axis=1)
+    packed[:, 1] = counts
     totals = comm_z.all_reduce(packed, phase="loss_total").wait()
     total_nll, total_cnt = totals[0, 0], totals[0, 1]
     if total_cnt == 0:
@@ -151,11 +171,10 @@ def _masked_ce_batched(model: PlexusGCN, logits: np.ndarray) -> tuple[float, np.
     loss = float(total_nll / total_cnt)
 
     # 4) gradient shards: (softmax - onehot)/count on masked rows
-    log_s = np.log(sum_exp)
-    probs = np.exp(logits - row_max[:, :, None] - log_s[:, :, None])
-    g = probs * masks[:, :, None]
-    vals = np.take_along_axis(g, gather_idx, axis=2) - owned[:, :, None]
-    np.put_along_axis(g, gather_idx, vals.astype(g.dtype, copy=False), axis=2)
+    g = np.exp(by_class - row_max - log_s)
+    g *= masks
+    g = np.ascontiguousarray(g.transpose(1, 2, 0))
+    g.reshape(-1)[label_idx] -= 1.0
     g /= total_cnt
     return loss, g
 

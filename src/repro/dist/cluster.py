@@ -39,20 +39,6 @@ from repro.errors import CollectiveMisuse
 __all__ = ["TimelineBreakdown", "Timeline", "VirtualRank", "VirtualCluster"]
 
 
-#: phase label -> "category:" prefix, shared across all timelines.  Phase
-#: labels form a small fixed vocabulary, so caching the split turns the
-#: hottest line of the accounting into a dict hit.
-_CATEGORY_OF: dict[str, str] = {}
-
-
-def _category(phase: str) -> str:
-    cat = _CATEGORY_OF.get(phase)
-    if cat is None:
-        cat = phase.split(":", 1)[0] + ":"
-        _CATEGORY_OF[phase] = cat
-    return cat
-
-
 @dataclass(frozen=True)
 class TimelineBreakdown:
     """Seconds per category: modeled kernels, communication, everything else."""
@@ -79,12 +65,15 @@ class ClockStore:
     The store also carries the nonblocking-collective bookkeeping of
     ``repro.dist.comm``:
 
-    * ``links`` maps each communicator's link key to the simulated time its
-      link is busy until (a scalar for one process group, a cube-shaped
-      keepdims array for a whole grid axis).  Issuing a collective reserves
-      the link from ``max(group ready time, link free time)``, which is what
-      serializes two in-flight operations on the same axis link — they queue
-      behind each other instead of magically overlapping.
+    * ``links`` is columnar: one float64 keepdims array of busy-until times
+      per axis communicator, one slot per process group along the axis (a
+      ``(1,)`` array for a standalone group).  A group communicator attached
+      to an axis writes its own slot, copy-on-write: arrays are replaced,
+      never modified in place, so pending records and snapshots hold them
+      without copying.  Issuing a collective reserves the link from
+      ``max(group ready time, link free time)``, which is what serializes two
+      in-flight operations on the same axis link — they queue behind each
+      other instead of magically overlapping.
     * ``max_inflight`` optionally bounds the in-flight queue depth: when set
       (``PlexusOptions.max_inflight`` threads it here), ``link_queues`` maps
       each *queue key* to the sorted completion times of its in-flight ops,
@@ -118,6 +107,7 @@ class ClockStore:
         "max_inflight",
         "outstanding",
         "trace",
+        "_pairs",
     )
 
     def __init__(self, world: int) -> None:
@@ -125,8 +115,8 @@ class ClockStore:
         self.clocks = np.zeros(world, dtype=np.float64)
         self.by_phase: dict[str, np.ndarray] = {}
         self.by_category: dict[str, np.ndarray] = {}
-        #: link key -> busy-until time (scalar or keepdims cube array)
-        self.links: dict[object, np.ndarray | float] = {}
+        #: link key -> busy-until times (one slot per group; see above)
+        self.links: dict[object, np.ndarray] = {}
         #: link key -> ascending completion times of in-flight ops (only
         #: maintained while ``max_inflight`` is set)
         self.link_queues: dict[object, list[float]] = {}
@@ -138,19 +128,18 @@ class ClockStore:
         #: ``record_*`` funnel all mutation, so a sink here sees everything
         #: — detached (None) it costs one attribute check per record
         self.trace = None
+        #: phase label -> (phase bucket, category bucket): one dict lookup
+        #: per record; dropped whenever the bucket dicts are replaced
+        self._pairs: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     # -- bucket access ---------------------------------------------------------
-    def phase_bucket(self, phase: str) -> np.ndarray:
-        b = self.by_phase.get(phase)
-        if b is None:
-            b = self.by_phase[phase] = np.zeros(self.world, dtype=np.float64)
-        return b
-
-    def category_bucket(self, category: str) -> np.ndarray:
-        b = self.by_category.get(category)
-        if b is None:
-            b = self.by_category[category] = np.zeros(self.world, dtype=np.float64)
-        return b
+    def _pair(self, phase: str) -> tuple[np.ndarray, np.ndarray]:
+        """The phase and ``"category:"`` buckets of a label, made on first use."""
+        pair = self._pairs[phase] = (
+            self.by_phase.setdefault(phase, np.zeros(self.world)),
+            self.by_category.setdefault(phase.split(":", 1)[0] + ":", np.zeros(self.world)),
+        )
+        return pair
 
     def grand_totals(self) -> np.ndarray:
         """Per-rank total seconds (fresh vector, summed over categories)."""
@@ -161,21 +150,24 @@ class ClockStore:
 
     # -- accounting (clock updates stay with the caller) -----------------------
     def record_at(self, i: int, phase: str, duration: float) -> None:
-        self.phase_bucket(phase)[i] += duration
-        self.category_bucket(_category(phase))[i] += duration
+        pb, cb = self._pairs.get(phase) or self._pair(phase)
+        pb[i] += duration
+        cb[i] += duration
         if self.trace is not None:
             self.trace.rec_at(i, phase, duration)
 
     def record_all(self, phase: str, durations: np.ndarray | float) -> None:
         """Attribute per-rank ``durations`` (scalar broadcasts) to ``phase``."""
-        self.phase_bucket(phase)[:] += durations
-        self.category_bucket(_category(phase))[:] += durations
+        pb, cb = self._pairs.get(phase) or self._pair(phase)
+        pb += durations
+        cb += durations
         if self.trace is not None:
             self.trace.rec_all(phase, durations)
 
     def record_idx(self, idx: np.ndarray, phase: str, durations: np.ndarray | float) -> None:
-        self.phase_bucket(phase)[idx] += durations
-        self.category_bucket(_category(phase))[idx] += durations
+        pb, cb = self._pairs.get(phase) or self._pair(phase)
+        pb[idx] += durations
+        cb[idx] += durations
         if self.trace is not None:
             self.trace.rec_idx(idx, phase, durations)
 
@@ -229,6 +221,7 @@ class ClockStore:
         self.clocks[:] = 0.0
         self.by_phase.clear()
         self.by_category.clear()
+        self._pairs.clear()
         self.links.clear()
         self.link_queues.clear()
         self.outstanding.clear()
@@ -240,7 +233,7 @@ class ClockStore:
             self.clocks.copy(),
             {k: v.copy() for k, v in self.by_phase.items()},
             {k: v.copy() for k, v in self.by_category.items()},
-            {k: (v.copy() if isinstance(v, np.ndarray) else v) for k, v in self.links.items()},
+            dict(self.links),  # link arrays are never written in place
             {k: list(v) for k, v in self.link_queues.items()},
             dict(self.outstanding),
         )
@@ -252,6 +245,7 @@ class ClockStore:
         self.by_phase.update(by_phase)
         self.by_category.clear()
         self.by_category.update(by_category)
+        self._pairs.clear()
         self.links.clear()
         self.links.update(links)
         self.link_queues.clear()

@@ -19,10 +19,15 @@ Timeline semantics of one issued collective:
   members must have launched, which is the straggler-sync point), and the
   transfer is scheduled on the group's link from
   ``begin = max(ready, link busy-until)`` to ``end = begin + duration``.
-  The link reservation (``ClockStore.links``) is what serializes two
-  in-flight operations on one axis link: they queue, they do not overlap
-  each other.  An optional ``issue_overhead_s`` (default 0, keeping eager
-  numerics bitwise-unchanged) models the launch cost charged at issue.
+  The link reservation is what serializes two in-flight operations on one
+  axis link: they queue, they do not overlap each other.
+  ``ClockStore.links`` holds it columnar — one keepdims busy-until array
+  per axis communicator, one slot per process group; a
+  :class:`GroupCommunicator` attached to an axis reads and writes its own
+  slot (copy-on-write), so the stacked and the group-wise ``map_*`` paths
+  serialize on the same links.  An optional ``issue_overhead_s`` (default
+  0, keeping eager numerics bitwise-unchanged) models the launch cost
+  charged at issue.
 * **wait** — each member is lifted to ``end`` with the lift attributed to
   the collective's comm phase.  Compute charged to the member's clock
   between issue and wait therefore genuinely hides communication: a member
@@ -61,6 +66,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right, insort
+from functools import lru_cache
 from typing import Sequence
 from weakref import WeakKeyDictionary
 
@@ -69,14 +75,8 @@ import numpy as np
 from repro.dist.cluster import ClockStore
 from repro.errors import CollectiveMisuse
 from repro.obs import trace as _trace
-from repro.dist.collectives import (
-    AxisComm,
-    all_to_all_time,
-    broadcast_time,
-    ring_all_gather_time,
-    ring_all_reduce_time,
-    ring_reduce_scatter_time,
-)
+from repro.dist import collectives as _costs
+from repro.dist.collectives import AxisComm, all_to_all_time, broadcast_time
 from repro.dist.group import ProcessGroup
 from repro.dist.padded import PaddedStack
 from repro.sparse.partition import block_slices
@@ -98,6 +98,13 @@ _REDUCERS = {"sum": np.add.reduce, "max": np.maximum.reduce}
 
 #: unique link keys into ``ClockStore.links`` (one per communicator)
 _LINK_KEYS = itertools.count()
+
+#: Eq. 4.5 durations memoized per (kind, bytes, group size, bandwidth,
+#: latency): an epoch re-issues a handful of distinct signatures
+ring_all_reduce_time, ring_all_gather_time, ring_reduce_scatter_time = (
+    lru_cache(maxsize=4096)(f)
+    for f in (_costs.ring_all_reduce_time, _costs.ring_all_gather_time, _costs.ring_reduce_scatter_time)
+)
 
 
 def _check_op(op: str) -> None:
@@ -307,11 +314,13 @@ class PendingCollective:
             _, cube_shape, begin, end, duration = record
             store = self._store
             cube = store.clocks.reshape(cube_shape)
-            charge = np.where(
-                cube <= begin, (begin - cube) + duration, np.maximum(end - cube, 0.0)
-            )
-            lifted = np.maximum(cube, end)
-            cube[...] = lifted
+            lag = begin - cube
+            if lag.min() >= 0.0:  # issue-then-wait: nobody past the comm start
+                charge = lag + duration
+                cube[...] = end
+            else:
+                charge = np.where(lag >= 0.0, lag + duration, np.maximum(end - cube, 0.0))
+                cube[...] = np.maximum(cube, end)
             store.record_all(phase, charge.ravel())
         else:  # "members": scalar fallback, one advance per duck-typed rank
             _, members, begin, end, duration = record
@@ -458,17 +467,20 @@ class GroupCommunicator:
     reservation.
     """
 
-    __slots__ = ("group", "issue_overhead_s", "_link_key", "_queue_keys", "_ranks")
+    __slots__ = ("group", "issue_overhead_s", "_link", "_queue_keys", "_ranks")
 
     def __init__(self, group: ProcessGroup, issue_overhead_s: float | None = None) -> None:
         self.group = group
         if issue_overhead_s is None:
             issue_overhead_s = group.machine.issue_overhead_s
         self.issue_overhead_s = float(issue_overhead_s)
-        self._link_key = next(_LINK_KEYS)
+        key = next(_LINK_KEYS)
+        #: (links key, slot index, array shape): a private one-slot array
+        #: until an AxisCommunicator attaches the group to its axis array
+        self._link = (key, (0,), (1,))
         #: in-flight queue keys (node-level NIC queues for inter-node
         #: groups, the private link key otherwise)
-        self._queue_keys = _queue_keys_for(group, self._link_key)
+        self._queue_keys = _queue_keys_for(group, key)
         self._ranks = [m.rank for m in group.members]  # shard order, cached
 
     # -- issue machinery -----------------------------------------------------
@@ -486,12 +498,17 @@ class GroupCommunicator:
             limit = store.max_inflight
             if limit is not None:
                 ready = _wait_for_link_slot(store, self._queue_keys, idx, ready, full_phase, limit)
-            link = store.links.get(self._link_key)
-            begin = ready if (link is None or link <= ready) else link
+            key, slot, shape = self._link
+            busy = store.links.get(key)
+            busy = np.zeros(shape) if busy is None else busy.copy()  # copy-on-write
+            link = busy[slot]
+            begin = ready if link <= ready else link
             end = begin + duration
-            store.links[self._link_key] = end
+            busy[slot] = end
+            store.links[key] = busy
             if store.trace is not None:
-                store.trace.link(("link", self._link_key), full_phase, float(begin), float(end))
+                gi = int(np.ravel_multi_index(slot, shape))  # the stacked path's label
+                store.trace.link(("link", key, gi), full_phase, float(begin), float(end))
             if _trace.enabled:
                 _trace.instant("issue", phase=full_phase)
             if limit is not None:
@@ -610,8 +627,9 @@ class AxisCommunicator:
     the rank-batched engine's fast path; the ``map_*`` methods issue one
     group-wise collective per process group over a per-rank list — the
     reference engine's path — and return a :class:`PendingMap`.  Both share
-    one per-group link reservation, so in-flight operations on one axis
-    queue behind each other.  Obtain via ``PlexusGrid.comm(axis)`` (or
+    the axis's busy-until array in ``ClockStore.links`` (one slot per
+    group), so in-flight operations on one axis queue behind each other.
+    Obtain via ``PlexusGrid.comm(axis)`` (or
     :func:`axis_communicator` from a raw :class:`AxisComm` descriptor);
     like :class:`GroupCommunicator`, a launch cost can be enabled by
     setting ``issue_overhead_s`` on the cached instance (default 0 keeps
@@ -623,9 +641,7 @@ class AxisCommunicator:
         "group_comms",
         "issue_overhead_s",
         "_link_key",
-        "_group_link_keys",
-        "_group_trace_keys",
-        "_axis_trace_keys",
+        "_trace_keys",
         "_ordered_group_comms",
         "_padded_plans",
     )
@@ -642,15 +658,8 @@ class AxisCommunicator:
         self._link_key = next(_LINK_KEYS)
         #: (kind, PaddedStack.signature()) -> cached padded-collective plan
         self._padded_plans: dict[tuple, dict] = {}
-        #: per-group link keys in keepdims-ravel order; once groups are
-        #: attached, the stacked path reads/writes THESE (the same entries
-        #: the map_* path uses), so stacked and group-wise operations on
-        #: one axis serialize against each other
-        self._group_link_keys: list[int] | None = None
-        #: memoized key tuples for SimSink.link_batch — rebuilt lazily on
-        #: first traced issue, invalidated when groups re-attach
-        self._group_trace_keys: tuple | None = None
-        self._axis_trace_keys: tuple | None = None
+        #: memoized per-group keys for SimSink.link_batch (first traced issue)
+        self._trace_keys: tuple | None = None
         #: group communicators in keepdims-ravel order (the bounded-issue
         #: path walks them sequentially, mirroring the map_* schedule)
         self._ordered_group_comms: list[GroupCommunicator] | None = None
@@ -695,8 +704,11 @@ class AxisCommunicator:
         if [p for p, _ in ordered] != list(range(len(ordered))):
             raise ValueError("groups do not tile the axis's off-axis cube")
         self._ordered_group_comms = [gc for _, gc in ordered]
-        self._group_link_keys = [gc._link_key for gc in self._ordered_group_comms]
-        self._group_trace_keys = None
+        # each group's link becomes its slot of this axis's array, so the
+        # map_* and stacked paths serialize on one axis's physical links
+        for pos, gc in ordered:
+            slot = tuple(int(i) for i in np.unravel_index(pos, keep))
+            gc._link = (self._link_key, slot, tuple(keep))
 
     # -- issue machinery -----------------------------------------------------
     def _issue(self, duration, phase: str, result) -> PendingCollective:
@@ -715,53 +727,28 @@ class AxisCommunicator:
             cube += self.issue_overhead_s
             store.record_all(full_phase, self.issue_overhead_s)
         ready = np.maximum.reduce(cube, axis=d.axis, keepdims=True)
-        keys = self._group_link_keys
         limit = store.max_inflight
-        if keys is not None:
-            if limit is not None:
-                begin, end = self._issue_bounded(store, ready, duration, full_phase, limit)
-            else:
-                # the same per-group entries the map_* path reserves, so the
-                # two paths serialize on one axis's physical links
-                link = np.asarray([links.get(k, 0.0) for k in keys]).reshape(ready.shape)
-                begin = np.maximum(ready, link)
-                end = begin + duration
-                for k, v in zip(keys, end.ravel()):
-                    links[k] = float(v)
-                if store.trace is not None:
-                    tk = self._group_trace_keys
-                    if tk is None:
-                        tk = self._group_trace_keys = tuple(("link", k) for k in keys)
-                    # begin/end are fresh per issue and never written in
-                    # place (the pending record aliases them the same way)
-                    store.trace.link_batch(
-                        tk, full_phase, begin.ravel(), end.ravel()
-                    )
-        else:  # detached descriptor (no groups known): axis-level reservation
-            if limit is not None:
-                # synthetic per-group queue keys so the bound holds here too
-                # (no group membership -> no node info: per-link semantics)
+        if limit is not None and self._ordered_group_comms is not None:
+            begin, end = self._issue_bounded(store, ready, duration, full_phase, limit)
+        else:
+            if limit is not None:  # detached descriptor: no node info, per-link queues
                 dkeys = [(self._link_key, gi) for gi in range(ready.size)]
                 ready = self._wait_for_slots(store, dkeys, ready, cube, full_phase, limit)
             link = links.get(self._link_key)
             begin = ready if link is None else np.maximum(ready, link)
             end = begin + duration
             links[self._link_key] = end
-            if store.trace is not None:
-                tk = self._axis_trace_keys
-                if tk is None or len(tk) != ready.size:
-                    tk = self._axis_trace_keys = tuple(
-                        ("axis", self._link_key, gi) for gi in range(ready.size)
-                    )
-                store.trace.link_batch(
-                    tk,
-                    full_phase,
-                    np.broadcast_to(begin, ready.shape).ravel(),
-                    np.broadcast_to(end, ready.shape).ravel(),
-                )
             if limit is not None:
-                for k, v in zip(dkeys, np.broadcast_to(end, ready.shape).ravel()):
+                for k, v in zip(dkeys, end.ravel()):
                     insort(store.link_queues.setdefault(k, []), float(v))
+            if store.trace is not None:
+                tk = self._trace_keys
+                if tk is None:
+                    tk = self._trace_keys = tuple(
+                        ("link", self._link_key, gi) for gi in range(ready.size)
+                    )
+                # begin/end are fresh per issue and never written in place
+                store.trace.link_batch(tk, full_phase, begin.ravel(), end.ravel())
         if _trace.enabled:
             _trace.instant("issue", phase=full_phase)
         record = ("cube", d.cube, begin, end, duration)
@@ -785,21 +772,23 @@ class AxisCommunicator:
         dur = np.broadcast_to(np.asarray(duration, dtype=np.float64), ready.shape).ravel()
         begin = np.empty(rf.shape)
         end = np.empty(rf.shape)
-        links = store.links
+        key = self._link_key
+        link = store.links.get(key)
+        link = np.zeros(rf.shape) if link is None else link.ravel()
         for gi, gc in enumerate(self._ordered_group_comms):
             r = _wait_for_link_slot(
                 store, gc._queue_keys, gc.group.member_idx, float(rf[gi]), phase, limit
             )
-            link = links.get(gc._link_key, 0.0)
-            b = r if link <= r else link
+            b = r if link[gi] <= r else link[gi]
             e = b + float(dur[gi])
-            links[gc._link_key] = e
             if store.trace is not None:
-                store.trace.link(("link", gc._link_key), phase, b, e)
+                store.trace.link(("link", key, gi), phase, b, e)
             _enqueue_inflight(store, gc._queue_keys, float(e))
             begin[gi] = b
             end[gi] = e
-        return begin.reshape(ready.shape), end.reshape(ready.shape)
+        begin, end = begin.reshape(ready.shape), end.reshape(ready.shape)
+        store.links[key] = end
+        return begin, end
 
     def _wait_for_slots(
         self, store: ClockStore, keys, ready: np.ndarray, cube: np.ndarray, phase: str, limit: int
@@ -835,8 +824,8 @@ class AxisCommunicator:
     def _group_table(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Reshape a per-rank vector to ``(n_groups, g)`` in member order.
 
-        Row order equals the keepdims ravel order (the order of
-        ``_group_link_keys`` and of the keepdims duration arrays); column
+        Row order equals the keepdims ravel order (the groups' slots in the
+        axis link array and in the keepdims duration arrays); column
         order is the member order along the axis — the shard order the
         group-wise collectives use.
         """

@@ -16,7 +16,8 @@ needs:
   stacks (restored with ``np.copyto`` so the optimizer's parameter
   aliasing into the live weight stacks is preserved);
 * **ClockStore snapshot** — clocks, per-phase and per-category totals,
-  link busy-until state and bounded in-flight queues;
+  link busy-until state (one array per axis communicator, one slot per
+  group) and bounded in-flight queues;
 * **in-flight-handle inventory** — the cross-epoch F prefetch
   (:class:`~repro.dist.comm.PendingCollective`) when one is in flight at
   the boundary: its phase, schedule record, and gathered result;
@@ -25,13 +26,16 @@ needs:
 
 Two restore policies:
 
-* **verbatim** — for a respawned worker of the *same* layout: a fresh
-  process replays the identical SPMD construction order, so the saved
-  integer link keys of :data:`~repro.dist.comm._LINK_KEYS` (and the
-  stable ``("shmz", gi)`` keys) mean the same links, and link state plus
-  the pending handle restore exactly.  This is what the launcher's
-  respawn-and-replay uses, and it is bitwise for eager *and* overlap
-  schedules.
+* **verbatim** — for a respawned worker of the *same* layout and the
+  same :data:`FORMAT_VERSION`: a fresh process replays the identical SPMD
+  construction order, so the saved integer link keys of
+  :data:`~repro.dist.comm._LINK_KEYS` (and the stable ``"shmz"`` key) name
+  the same axis link arrays, and link state plus the pending handle restore
+  exactly.  This is what the launcher's respawn-and-replay uses, and it is
+  bitwise for eager *and* overlap schedules.  A checkpoint of another
+  format (format 1 kept one scalar per group link) is refused with
+  :class:`~repro.errors.CheckpointError`: its link keys mean nothing to
+  this layout.
 * **quiescent** — for a *different* layout or model instance (backend
   switching): link keys are not portable, so restore demands the link
   state be quiescent — every busy-until and queue entry at or below the
@@ -71,7 +75,8 @@ __all__ = [
     "prune_checkpoints",
 ]
 
-FORMAT_VERSION = 1
+#: 2: link state is one busy-until array per axis communicator
+FORMAT_VERSION = 2
 MANIFEST_NAME = "MANIFEST.json"
 _CKPT_PREFIX = "ckpt-"
 
@@ -137,10 +142,7 @@ def model_state(model) -> dict:
         "clocks": store.clocks.copy(),
         "by_phase": {k: v.copy() for k, v in store.by_phase.items()},
         "by_category": {k: v.copy() for k, v in store.by_category.items()},
-        "links": {
-            k: (v.copy() if isinstance(v, np.ndarray) else v)
-            for k, v in store.links.items()
-        },
+        "links": dict(store.links),  # link arrays are never written in place
         "link_queues": {k: list(v) for k, v in store.link_queues.items()},
         "weights": weights,
         "adam": {
@@ -250,25 +252,17 @@ def restore_model(model, state: dict, verbatim_links: bool = True) -> None:
         np.copyto(opt.v[k], state["adam"]["v"][k], casting="no")
 
     # clock/timeline state
-    store.clocks[:] = state["clocks"]
-    store.by_phase.clear()
-    store.by_phase.update({k: v.copy() for k, v in state["by_phase"].items()})
-    store.by_category.clear()
-    store.by_category.update({k: v.copy() for k, v in state["by_category"].items()})
-    store.links.clear()
-    store.link_queues.clear()
-    store.outstanding.clear()
+    store.restore((
+        state["clocks"],
+        {k: v.copy() for k, v in state["by_phase"].items()},
+        {k: v.copy() for k, v in state["by_category"].items()},
+        state["links"] if verbatim_links else {},
+        state["link_queues"] if verbatim_links else {},
+        {},
+    ))
     model._f0_pending = None
-    if verbatim_links:
-        store.links.update(
-            {
-                k: (v.copy() if isinstance(v, np.ndarray) else v)
-                for k, v in state["links"].items()
-            }
-        )
-        store.link_queues.update({k: list(v) for k, v in state["link_queues"].items()})
-        if state["pending_f0"] is not None:
-            model._f0_pending = _rebuild_pending(state["pending_f0"], store)
+    if verbatim_links and state["pending_f0"] is not None:
+        model._f0_pending = _rebuild_pending(state["pending_f0"], store)
     if state["noise_rng"] is not None:
         model.options.noise._rng.bit_generator.state = state["noise_rng"]
 
@@ -292,6 +286,11 @@ def _load_states(ckpt_dir: Path) -> list[dict]:
             states.append(pickle.load(f))
     if not states:
         raise CheckpointError(f"no worker slice files in {ckpt_dir}")
+    for s in states:
+        if s.get("format") != FORMAT_VERSION:
+            raise CheckpointError(
+                f"checkpoint format {s.get('format')!r} != supported {FORMAT_VERSION}"
+            )
     states.sort(key=lambda s: s["lo"])
     return states
 

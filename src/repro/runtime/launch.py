@@ -102,6 +102,7 @@ _RECOVERABLE = (WorkerCrashed, BarrierTimeout, PayloadCorruption, RendezvousDesy
 #: worker-reported exception types that map onto their own launcher-side class
 _ETYPE_MAP = {
     "BarrierTimeout": BarrierTimeout,
+    "CheckpointError": CheckpointError,
     "PayloadCorruption": PayloadCorruption,
     "RendezvousDesync": RendezvousDesync,
     "UnsupportedWorkload": UnsupportedWorkload,
@@ -821,6 +822,11 @@ class MultiprocTrainer:
         ckpt.prune_checkpoints(self.checkpoint_dir, self.keep_checkpoints)
 
     def _check_manifest(self, manifest: dict) -> None:
+        if manifest.get("format") != ckpt.FORMAT_VERSION:
+            raise CheckpointError(
+                f"checkpoint in {self.checkpoint_dir} has format "
+                f"{manifest.get('format')!r} != supported {ckpt.FORMAT_VERSION}"
+            )
         if manifest.get("world") != self.spec.config.total or list(
             manifest.get("layer_dims", [])
         ) != list(self.spec.layer_dims):

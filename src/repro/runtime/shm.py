@@ -51,11 +51,6 @@ from threading import BrokenBarrierError
 import numpy as np
 
 from repro.dist.cluster import ClockStore
-from repro.dist.collectives import (
-    ring_all_gather_time,
-    ring_all_reduce_time,
-    ring_reduce_scatter_time,
-)
 from repro.dist.comm import (
     _REDUCERS,
     PendingCollective,
@@ -63,6 +58,9 @@ from repro.dist.comm import (
     _moved,
     _ready,
     _slot_free_time,
+    ring_all_gather_time,
+    ring_all_reduce_time,
+    ring_reduce_scatter_time,
 )
 from repro.dist.padded import PaddedStack
 from repro.obs import trace as _trace
@@ -471,11 +469,12 @@ class ShmAxisCommunicator:
     slices are exchanged, and every worker computes the identical full-cube
     result (the ``_local_*`` variants below mirror the in-process
     ``stacked_*_data`` math bitwise) and the identical schedule.  Link
-    busy-until state and bounded in-flight queues are *replicated* per
-    worker under ``("shmz", gi)`` keys in the local :class:`ClockStore` —
-    deterministic inputs keep every replica bitwise consistent, and storing
-    them in the store means ``reset``/``snapshot`` handle them exactly like
-    in-process link state.
+    busy-until state is *replicated* per worker as one keepdims array (one
+    slot per Z group) under the ``"shmz"`` key of the local
+    :class:`ClockStore`, and bounded in-flight queues under ``("shmz", gi)``
+    keys — deterministic inputs keep every replica bitwise consistent, and
+    storing them in the store means ``reset``/``snapshot`` handle them
+    exactly like in-process link state.
 
     Restrictions (enforced loudly): padded quasi-equal stacks and the
     ``map_*`` per-rank-list path are not supported — the multiproc backend
@@ -575,28 +574,18 @@ class ShmAxisCommunicator:
         limit = store.max_inflight
         if limit is not None:
             ready = self._acquire_slots(ready, full_phase, limit)
-        links = store.links
-        link = np.asarray(
-            [links.get(self._key(gi), 0.0) for gi in range(self._n_groups)]
-        ).reshape(ready.shape)
-        begin = np.maximum(ready, link)
+        link = store.links.get("shmz")
+        begin = ready if link is None else np.maximum(ready, link)
         end = begin + duration
-        for gi, v in enumerate(end.ravel()):
-            links[self._key(gi)] = float(v)
-            if limit is not None:
+        store.links["shmz"] = end
+        if limit is not None:
+            for gi, v in enumerate(end.ravel()):
                 insort(store.link_queues.setdefault(self._key(gi), []), float(v))
         if store.trace is not None:
             tk = getattr(self, "_trace_keys", None)
             if tk is None:
-                tk = self._trace_keys = tuple(
-                    self._key(gi) for gi in range(self._n_groups)
-                )
-            store.trace.link_batch(
-                tk,
-                full_phase,
-                np.broadcast_to(begin, ready.shape).ravel(),
-                end.ravel(),
-            )
+                tk = self._trace_keys = tuple(self._key(gi) for gi in range(self._n_groups))
+            store.trace.link_batch(tk, full_phase, begin.ravel(), end.ravel())
         record = ("cube", self.local_cube, begin, end, duration)
         return PendingCollective(full_phase, result, store, record)
 

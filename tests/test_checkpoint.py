@@ -6,13 +6,16 @@ per-rank clocks and phase totals — to the uninterrupted run.  Also covered:
 the quiescence rule (an overlap schedule's in-flight cross-epoch prefetch
 restores verbatim into the saving instance but refuses a cross-instance
 quiescent restore), manifest/latest/prune directory management, and torn
-checkpoints (no manifest) being invisible to resume.
+checkpoints (no manifest) being invisible to resume, and the format
+guard (a checkpoint of another ``FORMAT_VERSION`` is refused, never loaded).
 
 The multiproc crash-recovery path over the same files lives in
 ``tests/test_runtime_faults.py`` (spawn-heavy; run in its own CI step).
 """
 
 from __future__ import annotations
+
+import pickle
 
 import numpy as np
 import pytest
@@ -139,6 +142,60 @@ class TestRoundTrip:
         del state["weights"]["W1"]
         with pytest.raises(CheckpointError, match="parameters"):
             ckpt.restore_model(_trainer().model, state)
+
+
+def downgrade_to_format_1(path) -> None:
+    """Rewrite every slice file of a checkpoint in the format-1 link layout
+    (one scalar per process-group link key instead of one array per axis)."""
+    for f in path.glob("worker-*.pkl"):
+        state = pickle.loads(f.read_bytes())
+        state["format"] = 1
+        state["links"] = {
+            (key, gi): float(t)
+            for key, v in state["links"].items()
+            for gi, t in enumerate(np.ravel(v))
+        }
+        f.write_bytes(pickle.dumps(state))
+
+
+class TestFormat:
+    def test_links_saved_as_axis_arrays(self, tmp_path):
+        tr = _trainer(overlap=True)
+        tr.train(2)
+        path = tr.save_checkpoint(tmp_path, epoch=2)
+        state, exact = ckpt.load_slice(path, 0, CFG.total)
+        assert exact and state["format"] == ckpt.FORMAT_VERSION == 2
+        assert state["links"]
+        for v in state["links"].values():
+            assert isinstance(v, np.ndarray) and v.dtype == np.float64
+
+    def test_older_format_refused_verbatim_and_cross_layout(self, tmp_path):
+        """A format-1 checkpoint's per-group link keys mean nothing to the
+        columnar layout: every restore path refuses it with a typed error."""
+        tr = _trainer(overlap=True)
+        tr.train(2)
+        path = tr.save_checkpoint(tmp_path, epoch=2)
+        downgrade_to_format_1(path)
+        for verbatim in (None, True):  # the saving instance and a fresh one
+            with pytest.raises(CheckpointError, match="format 1"):
+                tr.load_checkpoint(path, verbatim=verbatim)
+            with pytest.raises(CheckpointError, match="format 1"):
+                _trainer(overlap=True).load_checkpoint(path, verbatim=verbatim)
+        with pytest.raises(CheckpointError, match="format 1"):
+            ckpt.load_cube_state(path)  # the re-slicing (cross-layout) path
+
+    def test_same_format_verbatim_replay_is_bitwise(self, tmp_path):
+        """The same-format verbatim restore replays an eager schedule, and
+        an overlap schedule with its prefetch in flight, bit for bit."""
+        for overlap in (False, True):
+            tr = _trainer(overlap=overlap)
+            tr.train(2)
+            path = tr.save_checkpoint(tmp_path / str(overlap), epoch=2)
+            first = tr.train(3).losses
+            state_first = _final_state(tr)
+            tr.load_checkpoint(path, verbatim=True)
+            assert tr.train(3).losses == first
+            _assert_same(state_first, _final_state(tr))
 
 
 class TestDirectoryManagement:

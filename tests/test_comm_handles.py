@@ -17,6 +17,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.dist.collectives as collectives
 from repro.core import Axis, GridConfig, PlexusGCN, PlexusOptions, PlexusTrainer
@@ -731,3 +733,114 @@ class TestOverlapSchedules:
         assert overlapped.losses == eager.losses
         assert (sum(e.comm_time for e in overlapped.epochs)
                 < sum(e.comm_time for e in eager.epochs))
+
+
+class TestEagerCompletion:
+    """``PendingCollective._complete`` on a whole-axis (``"cube"``) record
+    skips the general ``np.where`` branch when no member is past the comm
+    start; both branches must agree bit for bit."""
+
+    @given(
+        cube=st.sampled_from([(2, 2, 2), (3, 1, 2), (1, 4, 2), (2, 3, 1)]),
+        axis=st.integers(0, 2),
+        data=st.data(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_eager_branch_equals_general_branch(self, cube, axis, data):
+        from repro.dist.cluster import ClockStore
+        from repro.dist.comm import PendingCollective
+
+        world = int(np.prod(cube))
+        keep = list(cube)
+        keep[axis] = 1
+        n_groups = int(np.prod(keep))
+
+        def ints(n, hi):
+            return np.asarray(
+                data.draw(st.lists(st.integers(0, hi), min_size=n, max_size=n)), dtype=float
+            )
+
+        # coarse clock ticks, so ties with ``begin`` are common
+        clocks = ints(world, 4) * 2.5e-4
+        ready = clocks.reshape(cube).max(axis=axis, keepdims=True)
+        begin = ready + (ints(n_groups, 2) * 1.7e-4).reshape(keep)
+        if data.draw(st.booleans()):  # padded stacks: per-group keepdims durations
+            duration = (ints(n_groups, 3) * 1.1e-4).reshape(keep)
+        else:
+            duration = data.draw(st.sampled_from([0.0, 1.1e-4, 3.3e-5]))
+        end = begin + duration
+        # compute charged between issue and wait may move members up to, or
+        # past, the comm start (past: the general branch)
+        bump = ints(world, 3) * data.draw(st.sampled_from([0.0, 1.7e-4, 4.1e-4]))
+        store = ClockStore(world)
+        store.clocks[:] = clocks + bump
+        now = store.clocks.reshape(cube).copy()
+        want_charge = np.where(now <= begin, (begin - now) + duration, np.maximum(end - now, 0.0))
+        want_clocks = np.maximum(now, end)
+
+        record = ("cube", cube, begin, end, duration)
+        PendingCollective("comm:x", None, store, record).wait()
+        assert store.clocks.tobytes() == want_clocks.ravel().tobytes()
+        assert store.by_phase["comm:x"].tobytes() == (0.0 + want_charge.ravel()).tobytes()
+        assert not store.outstanding
+
+
+class TestColumnarLinks:
+    """One busy-until array per axis: the stacked and the group-wise
+    ``map_*`` paths queue behind each other on the same slots, and the
+    array survives ``no_charge()`` snapshot/restore and ``reset()``."""
+
+    CFG = GridConfig(2, 2, 1)
+
+    def _grid(self):
+        from repro.core.grid import PlexusGrid
+
+        cluster = VirtualCluster(self.CFG.total, PERLMUTTER)
+        return cluster, PlexusGrid(cluster, self.CFG)
+
+    def test_stacked_and_map_share_one_slot_per_group(self, rng):
+        cluster, grid = self._grid()
+        comm = grid.comm(Axis.X)
+        stacked = rng.standard_normal((self.CFG.total, 8, 4))
+        h1 = comm.all_reduce(stacked)
+        end1 = h1._record[3].copy()
+        h2 = comm.map_all_reduce(list(stacked))
+        assert set(cluster.store.links) == {comm._link_key}
+        for gc, h in zip(comm.group_comms, h2.handles()):
+            key, slot, shape = gc._link
+            assert key == comm._link_key and shape == end1.shape
+            assert h._record[2] == end1[slot]  # queued behind the stacked op
+        # copy-on-write: the group-wise issue left the pending record alone
+        assert h1._record[3].tobytes() == end1.tobytes()
+        h3 = comm.all_reduce(stacked)  # and the stacked op queues behind the map
+        for gc, h in zip(comm.group_comms, h2.handles()):
+            assert h3._record[2][gc._link[1]] == h._record[3]
+        for h in (h1, h2, h3):
+            h.wait()
+
+    def _schedule(self, cluster, grid, stacked, excursion):
+        comm = grid.comm(Axis.X)
+        h1 = comm.all_reduce(stacked)
+        h2 = comm.map_all_reduce(list(stacked))
+        if excursion:
+            links = dict(cluster.store.links)
+            with cluster.no_charge():  # a diagnostic pass books nothing
+                comm.map_all_reduce(list(stacked)).wait()
+                comm.all_reduce(stacked).wait()
+            assert cluster.store.links.keys() == links.keys()
+            for k, v in links.items():
+                assert cluster.store.links[k].tobytes() == v.tobytes()
+        h3 = comm.map_all_reduce(list(stacked))
+        h4 = comm.all_reduce(stacked)
+        for h in (h4, h2, h3, h1):
+            h.wait()
+        return cluster.clocks.copy()
+
+    def test_queueing_survives_no_charge_and_reset(self, rng):
+        stacked = rng.standard_normal((self.CFG.total, 8, 4))
+        ref = self._schedule(*self._grid(), stacked, excursion=False)
+        cluster, grid = self._grid()
+        assert self._schedule(cluster, grid, stacked, excursion=True).tobytes() == ref.tobytes()
+        cluster.reset()
+        assert not cluster.store.links
+        assert self._schedule(cluster, grid, stacked, excursion=True).tobytes() == ref.tobytes()

@@ -15,11 +15,14 @@ tier-1.  Acceptance for the fault-tolerant worker runtime:
   schedules alike;
 * **resume** — a new trainer pointed at a checkpoint directory continues
   the job (multiproc -> multiproc cold start, and checkpoints written by
-  one backend restore into the other).
+  one backend restore into the other); a checkpoint of another format is
+  refused with a typed error.
 """
 
 from __future__ import annotations
 
+import json
+import pickle
 import time
 
 import numpy as np
@@ -29,6 +32,7 @@ from repro.core import GridConfig, PlexusOptions
 from repro.dist import LAPTOP
 from repro.errors import (
     BarrierTimeout,
+    CheckpointError,
     PayloadCorruption,
     WorkerCrashed,
     WorkerFailed,
@@ -304,9 +308,47 @@ class TestResume:
         resumed.load_checkpoint(path)
         assert resumed.train(EPOCHS - 3).losses == losses[3:]
 
-    def test_mismatched_checkpoint_refused(self, tmp_path):
-        from repro.errors import CheckpointError
+    def test_older_format_checkpoint_refused_at_respawn(self, baseline, tmp_path):
+        """Respawn from a same-format checkpoint replays bitwise; from a
+        format-1 one (per-group link scalars) it is refused with a typed
+        error — by the launcher's manifest check, and by the workers when
+        only the slice files are old."""
+        from repro.runtime import checkpoint as ckpt, latest_checkpoint
 
+        overlap, losses, state = baseline
+        spec = _spec(overlap=overlap)
+        with MultiprocTrainer(
+            spec, timeout=60, checkpoint_dir=tmp_path / "new", checkpoint_every=1
+        ) as mpt:
+            mpt.train(2)
+        with MultiprocTrainer(spec, timeout=60, checkpoint_dir=tmp_path / "new") as mpt:
+            assert mpt.train(EPOCHS - 2).losses == losses[2:]
+            _state_equal(state, mpt.state())
+
+        with MultiprocTrainer(
+            spec, timeout=60, checkpoint_dir=tmp_path / "old", checkpoint_every=1
+        ) as mpt:
+            mpt.train(2)
+        _, path = latest_checkpoint(tmp_path / "old")
+        for f in path.glob("worker-*.pkl"):
+            old = pickle.loads(f.read_bytes())
+            old["format"] = 1
+            old["links"] = {
+                (key, gi): float(t)
+                for key, v in old["links"].items()
+                for gi, t in enumerate(np.ravel(v))
+            }
+            f.write_bytes(pickle.dumps(old))
+        with pytest.raises(CheckpointError, match="format 1"):
+            MultiprocTrainer(spec, timeout=60, checkpoint_dir=tmp_path / "old")
+        manifest = path / ckpt.MANIFEST_NAME
+        doc = json.loads(manifest.read_text())
+        doc["format"] = 1
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match="format 1"):
+            MultiprocTrainer(spec, timeout=60, checkpoint_dir=tmp_path / "old")
+
+    def test_mismatched_checkpoint_refused(self, tmp_path):
         spec = _spec()
         with MultiprocTrainer(
             spec, timeout=60, checkpoint_dir=tmp_path, checkpoint_every=1
